@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		failOnErrors  = fs.Bool("fail-on-errors", false, "fail on any non-2xx response or transport error")
 		ledgerPath    = fs.String("ledger", "", "write the deterministic run ledger (JSON) to this path")
 		benchOut      = fs.String("benchjson", "", "merge serve/* entries into this BENCH_<date>.json (created if absent)")
-		noCrossCheck  = fs.Bool("no-crosscheck", false, "skip the /v1/stats and /metrics reconciliation")
+		noCrossCheck  = fs.Bool("no-crosscheck", false, "skip the /metrics reconciliation")
 		metricsOut    = fs.String("metrics-out", "", "dump the target's /metrics exposition to this path after the run")
 		auditDir      = fs.String("audit-dir", "", "enable the decision audit ledger on the in-process server, writing to this directory")
 		auditSample   = fs.Int("audit-sample", 1, "record every Nth benign decision in the audit ledger (flagged always recorded)")

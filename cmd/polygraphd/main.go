@@ -16,7 +16,7 @@
 // the controller's job.
 //
 // The replica runtime itself — model load/train, collect server, drift
-// telemetry, journal, audit ledger, hot reload — lives in
+// telemetry, audit ledger, hot reload — lives in
 // internal/serving so a fleet harness can run N replicas in one
 // process; this command wires exactly one replica to flags, signals,
 // and the optional pprof listener.
@@ -69,7 +69,6 @@ func main() {
 		train         = flag.Bool("train", false, "train a fresh model in-process instead of loading one")
 		warm          = flag.Bool("warm", false, "start without a model and wait for a fleet push (everything 503s until /admin/model deploys one)")
 		sessions      = flag.Int("sessions", 40000, "sessions to generate when -train is set")
-		journalDir    = flag.String("journal", "", "directory for the durable flagged-decision journal (empty = off)")
 		novelty       = flag.Bool("novelty", false, "arm the novelty guard when training with -train")
 		rateLimit     = flag.Float64("rate-limit", 0, "per-client-IP requests/second on the ingest endpoints (0 = off)")
 		reloadTimeout = flag.Duration("reload-timeout", 5*time.Minute, "deadline for a SIGHUP model reload/retrain")
@@ -148,7 +147,6 @@ func main() {
 		Novelty:         *novelty,
 		RateLimitPerSec: *rateLimit,
 		ReloadTimeout:   *reloadTimeout,
-		JournalDir:      *journalDir,
 		AuditDir:        *auditDir,
 		AuditSample:     *auditSample,
 		AuditMaxBytes:   *auditMaxBytes,
@@ -220,10 +218,14 @@ loop:
 			break loop
 		}
 	}
-	stats := replica.Stats()
+	// The counters come from the replica's own exposition (the one
+	// counter surface); a replica that never deployed a model has none
+	// and logs zeros.
+	ex := obs.ParseExpositionString(replica.MetricsExposition())
+	collections, _ := ex.Value("polygraph_collections_total")
+	flagged, _ := ex.Value("polygraph_flagged_total")
 	logger.Info("served",
-		"collections", stats.Received, "flagged", stats.Flagged, "rejected", stats.Rejected,
-		"avg_score_us", fmt.Sprintf("%.1f", stats.AvgScoreUs))
+		"collections", collections, "flagged", flagged, "rejected", ex.Sum("polygraph_rejected_total"))
 }
 
 // debugMux assembles the -debug-addr surface: pprof profiles, expvar,

@@ -26,7 +26,6 @@ func healthyServer(t *testing.T) string {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok\n")) })
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) { w.Write(metrics.Bytes()) })
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("{}")) })
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("[]")) })
 	mux.HandleFunc("/debug/decisions", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("[]")) })
 	mux.HandleFunc("/admin/model/info", func(w http.ResponseWriter, r *http.Request) {

@@ -37,7 +37,6 @@ const (
 	KindTraces    = "traces"
 	KindDecisions = "decisions"
 	KindModelInfo = "model-info"
-	KindStats     = "stats"
 	KindHealth    = "health"
 	KindExpvar    = "expvar"
 	KindPprof     = "pprof"

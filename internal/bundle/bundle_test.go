@@ -84,7 +84,7 @@ func TestBundleDeterministicBytes(t *testing.T) {
 		b.SetTool("test v1")
 		tw := b.Target("r0", "http://x")
 		tw.Add(ArtifactMetrics, KindMetrics, []byte("m 1\n"))
-		tw.Add(ArtifactStats, KindStats, []byte("{}"))
+		tw.Add(ArtifactTraces, KindTraces, []byte("[]"))
 		b.AddFile("config.json", KindConfig, []byte("{}"))
 	}
 	_, first := build(t, fill)
@@ -125,7 +125,7 @@ func TestSanitizeName(t *testing.T) {
 func TestTargetDedup(t *testing.T) {
 	bb, _ := build(t, func(b *Builder) {
 		b.Target("r0", "http://x").Add(ArtifactMetrics, KindMetrics, []byte("m 1\n"))
-		b.Target("r0", "ignored").Add(ArtifactStats, KindStats, []byte("{}"))
+		b.Target("r0", "ignored").Add(ArtifactTraces, KindTraces, []byte("[]"))
 	})
 	if len(bb.Manifest.Targets) != 1 {
 		t.Fatalf("targets %+v, want one deduped entry", bb.Manifest.Targets)

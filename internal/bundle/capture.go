@@ -19,7 +19,6 @@ import (
 // analyzers read them, so they live next to the format.
 const (
 	ArtifactMetrics   = "metrics.txt"
-	ArtifactStats     = "stats.json"
 	ArtifactTraces    = "traces.json"
 	ArtifactDecisions = "decisions.json"
 	ArtifactModelInfo = "model-info.json"
@@ -176,7 +175,6 @@ func captureTarget(ctx context.Context, b *Builder, client *http.Client, t Targe
 
 	grab(ArtifactHealth, KindHealth, "/healthz")
 	grab(ArtifactMetrics, KindMetrics, "/metrics")
-	grab(ArtifactStats, KindStats, "/v1/stats")
 	grab(ArtifactTraces, KindTraces, fmt.Sprintf("/debug/traces?n=%d", recent))
 	captureDecisions(tw, fetch, opts.NoRedact, recent)
 	grabOptional(ArtifactSLO, KindSLO, "/debug/slo")

@@ -31,17 +31,16 @@ func (s *Server) MetricsText() string {
 }
 
 func (s *Server) writeMetricsTo(w io.Writer) {
-	st := s.Snapshot()
 	obs.WriteBuildInfo(w)
 	obs.WriteRuntimeMetrics(w)
 	obs.WriteMetric(w, "polygraph_collections_total",
-		"Fingerprint payloads scored.", "counter", float64(st.Received))
+		"Fingerprint payloads scored.", "counter", float64(s.stats.received.Load()))
 	obs.WriteMetric(w, "polygraph_flagged_total",
-		"Sessions flagged as suspicious.", "counter", float64(st.Flagged))
+		"Sessions flagged as suspicious.", "counter", float64(s.stats.flagged.Load()))
 
 	// Rejects broken out by cause. Every reason is always present
 	// (zeros included) so rate() works from the first scrape; the sum
-	// across reasons is the legacy total.
+	// across reasons is the total.
 	reasons := make([]obs.LabeledValue, numReasons)
 	for i := range reasons {
 		reasons[i] = obs.LabeledValue{Label: reasonNames[i], Value: float64(s.rejects[i].Load())}
@@ -49,14 +48,10 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	obs.WriteLabeledFamily(w, "polygraph_rejected_total",
 		"Rejected requests by cause.", "counter", "reason", reasons)
 
-	// Per-endpoint request-handling latency of scored requests, as a
-	// real histogram family. The avg/max gauges below are kept during
-	// deprecation, now derived from the same histograms (guarded
-	// against the zero-received torn-stats edge by construction).
+	// Per-endpoint request-handling latency of scored requests.
 	series := []obs.HistogramSeries{
 		obs.HistogramSnapshot(EndpointBinary, s.hists[EndpointBinary]),
 		obs.HistogramSnapshot(EndpointJSON, s.hists[EndpointJSON]),
-		obs.HistogramSnapshot(EndpointBatch, s.hists[EndpointBatch]),
 	}
 	if tcp := s.tcp.Load(); tcp != nil {
 		series = append(series, obs.HistogramSnapshot(EndpointTCP, &tcp.hist))
@@ -64,15 +59,9 @@ func (s *Server) writeMetricsTo(w io.Writer) {
 	obs.WriteHistogramFamily(w, "polygraph_score_duration_microseconds",
 		"Request-handling latency of scored requests per endpoint, in microseconds.",
 		"endpoint", series)
-	obs.WriteMetric(w, "polygraph_score_avg_microseconds",
-		"Mean request-handling latency (deprecated: use the duration histogram).",
-		"gauge", st.AvgScoreUs)
-	obs.WriteMetric(w, "polygraph_score_max_microseconds",
-		"Max request-handling latency (deprecated: use the duration histogram).",
-		"gauge", float64(st.MaxScoreUs))
 
 	obs.WriteMetric(w, "polygraph_store_entries",
-		"Flagged decisions retained in memory.", "gauge", float64(st.StoreEntries))
+		"Flagged decisions retained in memory.", "gauge", float64(s.store.Len()))
 	model := s.model.load()
 	obs.WriteMetric(w, "polygraph_model_clusters",
 		"Clusters in the deployed model.", "gauge", float64(model.KMeans.K))

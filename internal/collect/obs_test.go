@@ -255,22 +255,36 @@ func TestRejectReasonTaxonomy(t *testing.T) {
 }
 
 // TestAvgGaugeZeroTraffic pins the torn-stats fix: with zero scored
-// requests the avg gauge must be exactly 0, not NaN or garbage.
+// requests the score latency must read as exactly zero, not NaN or
+// garbage. The average is now derived from the histogram's _sum and
+// _count, so both must be 0 on every endpoint series, and no separate
+// avg/max gauge may be exported beside them.
 func TestAvgGaugeZeroTraffic(t *testing.T) {
 	m, _ := testModel(t)
 	srv, err := NewServer(Config{Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Snapshot()
-	if st.AvgScoreUs != 0 || st.MaxScoreUs != 0 {
-		t.Fatalf("zero-traffic stats: avg=%v max=%v", st.AvgScoreUs, st.MaxScoreUs)
-	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	expo := scrapeMetrics(t, ts.URL)
-	if !strings.Contains(expo, "polygraph_score_avg_microseconds 0\n") {
-		t.Fatalf("zero-traffic avg gauge not 0:\n%s", expo)
+	ex := obs.ParseExpositionString(expo)
+	const fam = "polygraph_score_duration_microseconds"
+	for _, retired := range []string{"polygraph_score_avg_microseconds", "polygraph_score_max_microseconds"} {
+		if ex.Has(retired) {
+			t.Errorf("metrics export retired gauge %s", retired)
+		}
+	}
+	for _, suffix := range []string{"_sum", "_count"} {
+		samples := ex.Samples(fam + suffix)
+		if len(samples) != 2 {
+			t.Fatalf("%s%s has %d series, want 2:\n%s", fam, suffix, len(samples), expo)
+		}
+		for _, s := range samples {
+			if s.Value != 0 {
+				t.Errorf("zero-traffic %s%s{endpoint=%q} = %v, want 0", fam, suffix, s.Label("endpoint"), s.Value)
+			}
+		}
 	}
 }
 

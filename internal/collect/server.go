@@ -2,8 +2,7 @@
 // an HTTP service that serves the fingerprint-collection script, ingests
 // ≤1 KB fingerprint payloads, scores them against the trained model in
 // real time (paper §3 budget: 100 ms; measured cost: microseconds), and
-// retains flagged sessions for the fraud team. It also provides a client
-// and a streaming scorer for batch replay.
+// retains flagged sessions for the fraud team. It also provides a client.
 //
 // Observability (internal/obs) is threaded through the whole serving
 // path: every ingest request runs under a deterministic trace whose
@@ -39,13 +38,12 @@ import (
 )
 
 // The ingest endpoints, also the labels of the per-endpoint latency
-// histogram family at /metrics. EndpointTCP and EndpointBatch label the
-// framed TCP listener and the ScoreStream replay path.
+// histogram family at /metrics. EndpointTCP labels the framed TCP
+// listener.
 const (
 	EndpointBinary = "/v1/collect"
 	EndpointJSON   = "/v1/collect-json"
 	EndpointTCP    = "tcp"
-	EndpointBatch  = "batch"
 )
 
 // deployed pairs a model with its audit hash so a hot swap can never
@@ -103,8 +101,6 @@ type Config struct {
 	// reason="rate_limit".
 	RateLimitPerSec float64
 	RateBurst       int
-	// Journal, when set, durably records every flagged decision.
-	Journal *Journal
 	// Logger receives structured request/reject/slow-trace records;
 	// nil discards. Build one with obs.NewLogger.
 	Logger *slog.Logger
@@ -153,7 +149,6 @@ type Config struct {
 type Server struct {
 	model   modelHolder
 	store   *MemoryStore
-	journal *Journal
 	maxLen  int64
 	logger  *slog.Logger
 	tracer  *obs.Tracer
@@ -199,7 +194,6 @@ type Server struct {
 
 type serverStats struct {
 	received atomic.Int64
-	rejected atomic.Int64
 	flagged  atomic.Int64
 }
 
@@ -250,17 +244,15 @@ func NewServer(cfg Config) (*Server, error) {
 		})
 	}
 	s := &Server{
-		store:   store,
-		journal: cfg.Journal,
-		maxLen:  maxLen,
-		logger:  cfg.Logger,
-		tracer:  tracer,
-		drift:   cfg.Drift,
-		mux:     http.NewServeMux(),
+		store:  store,
+		maxLen: maxLen,
+		logger: cfg.Logger,
+		tracer: tracer,
+		drift:  cfg.Drift,
+		mux:    http.NewServeMux(),
 		hists: map[string]*obs.Hist{
 			EndpointBinary: new(obs.Hist),
 			EndpointJSON:   new(obs.Hist),
-			EndpointBatch:  new(obs.Hist),
 		},
 		scoreDelay: cfg.ScoreDelay,
 	}
@@ -282,7 +274,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /script.js", s.handleScript)
 	s.mux.HandleFunc("POST "+EndpointBinary, s.handleCollectBinary)
 	s.mux.HandleFunc("POST "+EndpointJSON, s.handleCollectJSON)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/flagged", s.handleFlagged)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -304,12 +295,6 @@ func (s *Server) Store() *MemoryStore { return s.store }
 // Tracer exposes the request tracer (to share with a TCP listener or
 // inspect the ring in tests).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// Hist returns the latency histogram for an endpoint label (nil for
-// unknown labels). The EndpointBatch histogram is the one replay
-// tooling should pass to ScoreStreamObserved so batch scoring shows up
-// in this server's /metrics.
-func (s *Server) Hist(endpoint string) *obs.Hist { return s.hists[endpoint] }
 
 // AttachTCP includes a TCP batch listener's histogram and counters in
 // this server's /metrics exposition.
@@ -546,11 +531,6 @@ func (s *Server) score(ctx context.Context, w http.ResponseWriter, tr *obs.Trace
 		endRecord := pipeline.StartSpan(ctx, "record")
 		s.stats.flagged.Add(1)
 		s.store.Record(d)
-		if s.journal != nil {
-			if err := s.journal.Append(d); err != nil {
-				s.logWarn(tr, "collect: journal append failed", "err", err.Error())
-			}
-		}
 		endRecord()
 	}
 	if s.auditor != nil {
@@ -587,9 +567,8 @@ func (s *Server) logWarn(tr *obs.Trace, msg string, args ...any) {
 }
 
 // reject counts, logs, and answers one rejected request. tr may be nil
-// for untraced endpoints (stats/flagged query validation).
+// for untraced endpoints (flagged query validation).
 func (s *Server) reject(w http.ResponseWriter, tr *obs.Trace, code int, reason rejectReason, format string, args ...any) {
-	s.stats.rejected.Add(1)
 	s.rejects[reason].Add(1)
 	msg := fmt.Sprintf(format, args...)
 	s.logWarn(tr, "collect: reject",
@@ -629,51 +608,6 @@ func (s *Server) handleFlagged(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(out); err != nil {
 		s.logWarn(nil, "collect: encode flagged failed", "err", err.Error())
-	}
-}
-
-// Stats is the monitoring snapshot served at /v1/stats.
-type Stats struct {
-	Received     int64   `json:"received"`
-	Rejected     int64   `json:"rejected"`
-	Flagged      int64   `json:"flagged"`
-	AvgScoreUs   float64 `json:"avg_score_us"`
-	MaxScoreUs   int64   `json:"max_score_us"`
-	StoreEntries int     `json:"store_entries"`
-}
-
-// Snapshot returns current counters. The latency figures derive from
-// the endpoint histograms, whose Record publishes the sum before the
-// count — so a snapshot's sum always covers at least the observations
-// its count claims and the average can never be torn upward or divide
-// by zero (the legacy avg-gauge bug class).
-func (s *Server) Snapshot() Stats {
-	st := Stats{
-		Received:     s.stats.received.Load(),
-		Rejected:     s.stats.rejected.Load(),
-		Flagged:      s.stats.flagged.Load(),
-		StoreEntries: s.store.Len(),
-	}
-	var n uint64
-	var sumUs float64
-	for _, h := range s.hists {
-		c := h.Count() // count before sum: see Record's ordering
-		n += c
-		sumUs += float64(h.Sum().Nanoseconds()) / 1e3
-		if m := h.Max().Microseconds(); m > st.MaxScoreUs {
-			st.MaxScoreUs = m
-		}
-	}
-	if n > 0 {
-		st.AvgScoreUs = sumUs / float64(n)
-	}
-	return st
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.Snapshot()); err != nil {
-		s.logWarn(nil, "collect: encode stats failed", "err", err.Error())
 	}
 }
 

@@ -333,6 +333,9 @@ func TestLoadRejectsJunk(t *testing.T) {
 		`{"version": 99}`,
 		`{"version":1,"features":[{"kind":"deviation-based","proto":"Element"}],"centroids":[[1]],"scaler_means":[0,0],"scaler_stds":[1,1]}`,
 		`{"version":1,"features":[{"kind":"nonsense","proto":"Element"}],"centroids":[[1]],"scaler_means":[0],"scaler_stds":[1]}`,
+		// Ragged matrices (matrix.FromRows would panic on them).
+		`{"version":1,"features":[{"kind":"deviation-based","proto":"Element"}],"centroids":[[1],[1,2]],"scaler_means":[0],"scaler_stds":[1]}`,
+		`{"version":1,"features":[{"kind":"deviation-based","proto":"Element"}],"pca_mean":[0],"pca_components":[[1],[1,2]],"centroids":[[1],[1]],"scaler_means":[0],"scaler_stds":[1]}`,
 	}
 	for i, c := range cases {
 		if _, err := Load(bytes.NewBufferString(c)); err == nil {

@@ -83,6 +83,16 @@ func (m *Model) Save(w io.Writer) error {
 	return enc.Encode(&mj)
 }
 
+// checkRectangular reports a matrix whose rows differ in length.
+func checkRectangular(name string, rows [][]float64) error {
+	for i, row := range rows {
+		if len(row) != len(rows[0]) {
+			return fmt.Errorf("core: %s row %d has %d values, row 0 has %d", name, i, len(row), len(rows[0]))
+		}
+	}
+	return nil
+}
+
 // Load reads a model written by Save.
 func Load(r io.Reader) (*Model, error) {
 	var mj modelJSON
@@ -97,6 +107,13 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	if len(mj.ScalerMeans) != len(mj.Features) || len(mj.ScalerStds) != len(mj.Features) {
 		return nil, fmt.Errorf("core: scaler size mismatch")
+	}
+	// matrix.FromRows panics on ragged rows; a pushed model must not.
+	if err := checkRectangular("pca_components", mj.PCAComponents); err != nil {
+		return nil, err
+	}
+	if err := checkRectangular("centroids", mj.Centroids); err != nil {
+		return nil, err
 	}
 
 	m := &Model{

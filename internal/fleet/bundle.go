@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -11,32 +10,26 @@ import (
 
 // Fleet-wide support-bundle capture: the balancer knows every replica —
 // including ones already ejected or drained — so it is the natural
-// place to enumerate capture targets. The adapter reuses the member
-// overrides the health/stats machinery already has, which lets an
-// in-process rig snapshot the /metrics and /v1/stats of a replica whose
-// listener is gone; everything else falls back to HTTP against BaseURL
-// and surfaces as recorded collector errors when the replica is dead.
+// place to enumerate capture targets. The adapter reuses the member's
+// /metrics override, which lets an in-process rig snapshot the /metrics
+// of a replica whose listener is gone; everything else falls back to
+// HTTP against BaseURL and surfaces as recorded collector errors when
+// the replica is dead.
 
 // BundleTarget adapts one member for bundle.Capture.
 func (m Member) BundleTarget(client *http.Client) bundle.Target {
 	t := bundle.Target{Name: m.Name, BaseURL: m.BaseURL}
-	if m.Stats == nil && m.Metrics == nil {
+	if m.Metrics == nil {
 		return t // plain HTTP member: let capture fetch directly
 	}
 	t.Fetch = func(ctx context.Context, path string) ([]byte, error) {
 		switch {
-		case path == "/metrics" && m.Metrics != nil:
+		case path == "/metrics":
 			text, err := m.Metrics(ctx)
 			if err != nil {
 				return nil, err
 			}
 			return []byte(text), nil
-		case path == "/v1/stats" && m.Stats != nil:
-			stats, err := m.Stats(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(stats)
 		case m.BaseURL == "":
 			return nil, fmt.Errorf("no base URL for %s", path)
 		default:

@@ -96,7 +96,7 @@ func (s State) String() string {
 
 // Member describes how to reach one replica. The zero overrides make a
 // purely HTTP member; in-process replicas (internal/serving) supply
-// Probe/Stats/Metrics functions so their counters stay readable for
+// Probe/Metrics functions so their counters stay readable for
 // reconciliation even after their listener is killed.
 type Member struct {
 	// Name identifies the replica in logs, metrics, and reports.
@@ -106,20 +106,8 @@ type Member struct {
 	// Probe overrides the HTTP health+hash probe; it returns the
 	// replica's deployed model hash ("" when unknown).
 	Probe func(ctx context.Context) (modelHash string, err error)
-	// Stats overrides the HTTP /v1/stats fetch.
-	Stats func(ctx context.Context) (collect.Stats, error)
 	// Metrics overrides the HTTP /metrics fetch (full exposition text).
 	Metrics func(ctx context.Context) (string, error)
-}
-
-// FetchStats resolves the member's /v1/stats snapshot through the
-// override or HTTP.
-func (m Member) FetchStats(ctx context.Context, client *http.Client) (collect.Stats, error) {
-	if m.Stats != nil {
-		return m.Stats(ctx)
-	}
-	c := collect.Client{BaseURL: m.BaseURL, HTTPClient: client}
-	return c.FetchStats(ctx)
 }
 
 // FetchMetrics resolves the member's /metrics exposition through the

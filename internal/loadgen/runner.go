@@ -57,8 +57,8 @@ type Options struct {
 	// TCPBatch is the frames-per-SubmitBatch block size in TCP mode
 	// (0 = 64).
 	TCPBatch int
-	// SkipCrossCheck disables the /v1/stats + /metrics reconciliation
-	// (needed when other traffic shares the target).
+	// SkipCrossCheck disables the /metrics reconciliation (needed when
+	// other traffic shares the target).
 	SkipCrossCheck bool
 	// ExpectAudit extends the cross-check with the audit-ledger
 	// invariant: every scored decision is either durably recorded or
@@ -158,9 +158,9 @@ type ReplicaDelta struct {
 	RejectedDelta int64  `json:"rejected_delta"`
 }
 
-// CrossCheck reconciles the client-side ledger against the server's own
-// /v1/stats counters and the /metrics exposition — the "do the two sides
-// of the wire agree" audit. Against a fleet, the server-side deltas are
+// CrossCheck reconciles the client-side ledger against the counters of
+// the server's /metrics exposition — the "do the two sides of the wire
+// agree" audit. Against a fleet, the server-side deltas are
 // the sums over every replica (including killed ones, whose counters
 // the harness reads in-process), and Replicas itemizes the split.
 type CrossCheck struct {
@@ -182,10 +182,6 @@ type CrossCheck struct {
 	// they depend on failure timing, and the Ledger must stay
 	// byte-identical across runs.
 	Retries int64 `json:"retries,omitempty"`
-	// MetricsReceived is polygraph_collections_total scraped from
-	// /metrics after the run, cross-checking the exposition against the
-	// JSON stats view.
-	MetricsReceived float64 `json:"metrics_received"`
 	// AuditRecordsDelta and AuditDroppedDelta are the audit-ledger
 	// counter deltas over the run; with Options.ExpectAudit their sum
 	// must equal ServerReceivedDelta (every scored decision recorded or
@@ -288,23 +284,15 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		defer cancel()
 	}
 
-	// One stats source per target: the single server, or every fleet
+	// One metrics source per target: the single server, or every fleet
 	// replica (whose in-process overrides keep a killed replica's
-	// counters readable).
+	// counters readable). Each is scraped once before and once after
+	// the run.
 	srcs := buildSources(opts, client)
-	pres := make([]sourcePre, len(srcs))
+	pres := make([]scrape, len(srcs))
 	if !opts.SkipCrossCheck {
 		for i, s := range srcs {
-			pres[i].stats, pres[i].statsErr = s.stats(ctx)
-			// Old servers without the histogram family scrape as an empty
-			// map; the latency reconciliation then degrades to a note.
-			if text, err := s.exposition(ctx); err == nil {
-				pres[i].hist = obs.ParseHistogram(text, scoreHistFamily, "endpoint")
-				if opts.ExpectAudit {
-					pres[i].audit[0], _ = obs.ParseMetric(text, auditRecordsFamily)
-					pres[i].audit[1], _ = obs.ParseMetric(text, auditDroppedFamily)
-				}
-			}
+			pres[i].text, pres[i].err = s.exposition(ctx)
 		}
 	}
 
@@ -397,11 +385,11 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 			cctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 		}
-		posts := make([]string, len(srcs)) // post-run exposition per source
+		posts := make([]scrape, len(srcs))
 		for i, s := range srcs {
-			posts[i], _ = s.exposition(cctx)
+			posts[i].text, posts[i].err = s.exposition(cctx)
 		}
-		report.CrossCheck = crossCheck(cctx, srcs, pres, posts, &report.Ledger, retries.Load())
+		report.CrossCheck = crossCheck(srcs, pres, posts, &report.Ledger, retries.Load())
 		reconcileLatency(pres, posts, report)
 		if opts.ExpectAudit {
 			reconcileAudit(pres, posts, report)
@@ -410,34 +398,29 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	return report, nil
 }
 
-// statsSource is one reconciliation target: a way to read a server's
-// stats snapshot and /metrics exposition.
-type statsSource struct {
+// metricsSource is one reconciliation target: a way to read a server's
+// /metrics exposition.
+type metricsSource struct {
 	name       string
-	stats      func(context.Context) (collect.Stats, error)
 	exposition func(context.Context) (string, error)
 }
 
-// sourcePre holds a source's pre-run counters.
-type sourcePre struct {
-	stats    collect.Stats
-	statsErr error
-	hist     map[string][]uint64
-	audit    [2]float64 // records, dropped
+// scrape is one source's exposition at a checkpoint, or why it could
+// not be read.
+type scrape struct {
+	text string
+	err  error
 }
 
-func buildSources(opts Options, client *http.Client) []statsSource {
+func buildSources(opts Options, client *http.Client) []metricsSource {
 	if opts.Fleet != nil {
 		members := opts.Fleet.Members()
 		fc := opts.Fleet.Client()
-		out := make([]statsSource, 0, len(members))
+		out := make([]metricsSource, 0, len(members))
 		for _, m := range members {
 			m := m
-			out = append(out, statsSource{
+			out = append(out, metricsSource{
 				name: m.Name,
-				stats: func(ctx context.Context) (collect.Stats, error) {
-					return m.FetchStats(ctx, fc)
-				},
 				exposition: func(ctx context.Context) (string, error) {
 					return m.FetchMetrics(ctx, fc)
 				},
@@ -445,11 +428,8 @@ func buildSources(opts Options, client *http.Client) []statsSource {
 		}
 		return out
 	}
-	return []statsSource{{
+	return []metricsSource{{
 		name: "server",
-		stats: func(ctx context.Context) (collect.Stats, error) {
-			return fetchStats(ctx, client, opts.BaseURL)
-		},
 		exposition: func(ctx context.Context) (string, error) {
 			return fetchExposition(ctx, client, opts.BaseURL)
 		},
@@ -469,27 +449,29 @@ const (
 // a ledger. Against a fleet the deltas are summed over every replica.
 // The deltas also land in the run ledger (run-level totals stay
 // deterministic for a fixed seed; see Ledger.AuditRecords).
-func reconcileAudit(pres []sourcePre, posts []string, report *Report) {
+func reconcileAudit(pres, posts []scrape, report *Report) {
 	cc := report.CrossCheck
 	if cc == nil {
 		return
 	}
 	var records, dropped float64
 	for i := range pres {
-		postRecords, err := obs.ParseMetric(posts[i], auditRecordsFamily)
+		preRecords, _ := obs.ParseMetric(pres[i].text, auditRecordsFamily)
+		preDropped, _ := obs.ParseMetric(pres[i].text, auditDroppedFamily)
+		postRecords, err := obs.ParseMetric(posts[i].text, auditRecordsFamily)
 		if err != nil {
 			cc.Details = append(cc.Details, fmt.Sprintf("scrape %s: %v", auditRecordsFamily, err))
 			cc.OK = false
 			return
 		}
-		postDropped, err := obs.ParseMetric(posts[i], auditDroppedFamily)
+		postDropped, err := obs.ParseMetric(posts[i].text, auditDroppedFamily)
 		if err != nil {
 			cc.Details = append(cc.Details, fmt.Sprintf("scrape %s: %v", auditDroppedFamily, err))
 			cc.OK = false
 			return
 		}
-		records += postRecords - pres[i].audit[0]
-		dropped += postDropped - pres[i].audit[1]
+		records += postRecords - preRecords
+		dropped += postDropped - preDropped
 	}
 	cc.AuditRecordsDelta = int64(records)
 	cc.AuditDroppedDelta = int64(dropped)
@@ -687,26 +669,6 @@ func sendOne(ctx context.Context, client *http.Client, opts *Options, r *Request
 	}
 }
 
-func fetchStats(ctx context.Context, client *http.Client, baseURL string) (collect.Stats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/stats", nil)
-	if err != nil {
-		return collect.Stats{}, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return collect.Stats{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return collect.Stats{}, fmt.Errorf("loadgen: /v1/stats returned %d", resp.StatusCode)
-	}
-	var st collect.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return collect.Stats{}, err
-	}
-	return st, nil
-}
-
 // fetchExposition fetches a target's full /metrics exposition as text.
 // Each source is scraped once per checkpoint and the text shared by
 // every reconciliation pass, so a fleet of N replicas costs N scrapes,
@@ -748,7 +710,7 @@ const scoreHistFamily = "polygraph_score_duration_microseconds"
 // same requests. The common benign skew — client p99 far above server
 // p99 because of client-side queuing under burst concurrency — is
 // recorded as a note.
-func reconcileLatency(pres []sourcePre, posts []string, report *Report) {
+func reconcileLatency(pres, posts []scrape, report *Report) {
 	cc := report.CrossCheck
 	if cc == nil {
 		return
@@ -757,11 +719,14 @@ func reconcileLatency(pres []sourcePre, posts []string, report *Report) {
 	sum := map[string][]uint64{}
 	exported := false
 	for i := range pres {
-		postHist := obs.ParseHistogram(posts[i], scoreHistFamily, "endpoint")
+		postHist := obs.ParseHistogram(posts[i].text, scoreHistFamily, "endpoint")
 		if len(postHist) == 0 {
 			continue
 		}
 		exported = true
+		// A failed pre-run scrape parses as an empty map (the counter
+		// reconciliation already fails on it).
+		preHist := obs.ParseHistogram(pres[i].text, scoreHistFamily, "endpoint")
 		for ep, post := range postHist {
 			if len(post) != obs.NumBuckets {
 				continue
@@ -771,7 +736,7 @@ func reconcileLatency(pres []sourcePre, posts []string, report *Report) {
 				acc = make([]uint64, len(post))
 				sum[ep] = acc
 			}
-			pre := pres[i].hist[ep]
+			pre := preHist[ep]
 			for j, c := range post {
 				d := c
 				if j < len(pre) && pre[j] <= c {
@@ -834,6 +799,41 @@ func reconcileLatency(pres []sourcePre, posts []string, report *Report) {
 	}
 }
 
+// HTTP ingest counter families exported by internal/collect; the
+// cross-check reconciles their deltas against the client ledger.
+const (
+	receivedFamily = "polygraph_collections_total"
+	flaggedFamily  = "polygraph_flagged_total"
+	rejectedFamily = "polygraph_rejected_total"
+)
+
+// httpCounters are the ingest counters of one exposition.
+type httpCounters struct {
+	received, flagged, rejected float64
+}
+
+// parseHTTPCounters reads the ingest counters from a scrape. A failed
+// scrape or a missing family is an error, never a zero.
+func parseHTTPCounters(sc scrape) (httpCounters, error) {
+	var c httpCounters
+	if sc.err != nil {
+		return c, sc.err
+	}
+	ex := obs.ParseExpositionString(sc.text)
+	var err error
+	if c.received, err = ex.Value(receivedFamily); err != nil {
+		return c, err
+	}
+	if c.flagged, err = ex.Value(flaggedFamily); err != nil {
+		return c, err
+	}
+	if !ex.Has(rejectedFamily) {
+		return c, fmt.Errorf("obs: metric %s not found", rejectedFamily)
+	}
+	c.rejected = ex.Sum(rejectedFamily) // summed over every reason
+	return c, nil
+}
+
 // crossCheck reconciles the client ledger against the server-side
 // counters. It compares deltas (post − pre), so a live daemon with
 // prior traffic still reconciles as long as nothing else hits it during
@@ -842,47 +842,41 @@ func reconcileLatency(pres []sourcePre, posts []string, report *Report) {
 // runs against the sums — the client-vs-sum-of-replicas audit: no
 // request may be double-scored (a retry landing twice) or lost (a
 // "2xx" the fleet never counted).
-func crossCheck(ctx context.Context, srcs []statsSource, pres []sourcePre, posts []string, ledger *Ledger, retries int64) *CrossCheck {
+func crossCheck(srcs []metricsSource, pres, posts []scrape, ledger *Ledger, retries int64) *CrossCheck {
 	cc := &CrossCheck{Retries: retries}
-	var post collect.Stats // summed post-run stats
-	var pre collect.Stats  // summed pre-run stats
-	var metricsReceived float64
+	var pre, post httpCounters // summed over sources
 	for i, s := range srcs {
-		if pres[i].statsErr != nil {
-			cc.Details = append(cc.Details, fmt.Sprintf("%s: pre-run stats: %v", s.name, pres[i].statsErr))
+		a, err := parseHTTPCounters(pres[i])
+		if err != nil {
+			cc.Details = append(cc.Details, fmt.Sprintf("%s: pre-run /metrics: %v", s.name, err))
 			return cc
 		}
-		st, err := s.stats(ctx)
+		b, err := parseHTTPCounters(posts[i])
 		if err != nil {
-			cc.Details = append(cc.Details, fmt.Sprintf("%s: post-run stats: %v", s.name, err))
+			cc.Details = append(cc.Details, fmt.Sprintf("%s: post-run /metrics: %v", s.name, err))
 			return cc
 		}
 		if len(srcs) > 1 {
 			cc.Replicas = append(cc.Replicas, ReplicaDelta{
 				Name:          s.name,
-				ReceivedDelta: st.Received - pres[i].stats.Received,
-				FlaggedDelta:  st.Flagged - pres[i].stats.Flagged,
-				RejectedDelta: st.Rejected - pres[i].stats.Rejected,
+				ReceivedDelta: int64(b.received - a.received),
+				FlaggedDelta:  int64(b.flagged - a.flagged),
+				RejectedDelta: int64(b.rejected - a.rejected),
 			})
 		}
-		post.Received += st.Received
-		post.Flagged += st.Flagged
-		post.Rejected += st.Rejected
-		pre.Received += pres[i].stats.Received
-		pre.Flagged += pres[i].stats.Flagged
-		pre.Rejected += pres[i].stats.Rejected
-		if mv, err := obs.ParseMetric(posts[i], "polygraph_collections_total"); err != nil {
-			cc.Details = append(cc.Details, fmt.Sprintf("%s: scrape /metrics: %v", s.name, err))
-		} else {
-			metricsReceived += mv
-		}
+		pre.received += a.received
+		pre.flagged += a.flagged
+		pre.rejected += a.rejected
+		post.received += b.received
+		post.flagged += b.flagged
+		post.rejected += b.rejected
 	}
 
 	cc.ClientOK = ledger.ByStatus["200"]
-	cc.ServerReceivedDelta = post.Received - pre.Received
+	cc.ServerReceivedDelta = int64(post.received - pre.received)
 	cc.ClientFlagged = ledger.Flagged
-	cc.ServerFlaggedDelta = post.Flagged - pre.Flagged
-	cc.ServerRejectedDelta = post.Rejected - pre.Rejected
+	cc.ServerFlaggedDelta = int64(post.flagged - pre.flagged)
+	cc.ServerRejectedDelta = int64(post.rejected - pre.rejected)
 	for code, c := range ledger.ByStatus {
 		if !strings.HasPrefix(code, "2") {
 			cc.ClientErrors += c
@@ -891,11 +885,11 @@ func crossCheck(ctx context.Context, srcs []statsSource, pres []sourcePre, posts
 
 	if cc.ClientOK != cc.ServerReceivedDelta {
 		cc.Details = append(cc.Details, fmt.Sprintf(
-			"client saw %d 2xx but server ingest counter moved by %d", cc.ClientOK, cc.ServerReceivedDelta))
+			"client saw %d 2xx but server %s moved by %d", cc.ClientOK, receivedFamily, cc.ServerReceivedDelta))
 	}
 	if cc.ClientFlagged != cc.ServerFlaggedDelta {
 		cc.Details = append(cc.Details, fmt.Sprintf(
-			"client decoded %d flagged decisions but server flagged counter moved by %d", cc.ClientFlagged, cc.ServerFlaggedDelta))
+			"client decoded %d flagged decisions but server %s moved by %d", cc.ClientFlagged, flaggedFamily, cc.ServerFlaggedDelta))
 	}
 	// Rejected reconciles only when every client-side error was a
 	// server-side reject (429s from a rate limiter and transport errors
@@ -903,12 +897,7 @@ func crossCheck(ctx context.Context, srcs []statsSource, pres []sourcePre, posts
 	if ledger.Timeouts == 0 && ledger.ConnErrors == 0 && ledger.ByStatus["429"] == 0 &&
 		cc.ClientErrors != cc.ServerRejectedDelta {
 		cc.Details = append(cc.Details, fmt.Sprintf(
-			"client saw %d error responses but server rejected counter moved by %d", cc.ClientErrors, cc.ServerRejectedDelta))
-	}
-	cc.MetricsReceived = metricsReceived
-	if int64(metricsReceived) != post.Received {
-		cc.Details = append(cc.Details, fmt.Sprintf(
-			"/metrics polygraph_collections_total %v disagrees with /v1/stats received %d", metricsReceived, post.Received))
+			"client saw %d error responses but server %s moved by %d", cc.ClientErrors, rejectedFamily, cc.ServerRejectedDelta))
 	}
 	cc.OK = len(cc.Details) == 0
 	return cc

@@ -42,8 +42,8 @@ const (
 // Options.TCPBatch is zero.
 const defaultTCPBatch = 64
 
-// tcpPre holds the pre-run TCP counter values scraped from /metrics.
-type tcpPre struct {
+// tcpCounters holds the TCP counter values of one /metrics scrape.
+type tcpCounters struct {
 	scored    float64
 	flagged   float64
 	badFrames float64
@@ -88,13 +88,15 @@ func runTCP(ctx context.Context, opts Options) (*Report, error) {
 	if client == nil {
 		client = newClient(1) // scrapes only; frames ride raw TCP
 	}
-	var pre tcpPre
+	var pre scrape
 	if !opts.SkipCrossCheck {
-		text, err := fetchExposition(ctx, client, opts.BaseURL)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: pre-run /metrics scrape: %w", err)
+		// Fail fast: a target without an attached listener would
+		// otherwise take the whole run before the cross-check says so.
+		pre.text, pre.err = fetchExposition(ctx, client, opts.BaseURL)
+		if pre.err != nil {
+			return nil, fmt.Errorf("loadgen: pre-run /metrics scrape: %w", pre.err)
 		}
-		if pre, err = parseTCPCounters(text, opts.ExpectAudit); err != nil {
+		if _, err := parseTCPCounters(pre, opts.ExpectAudit); err != nil {
 			return nil, fmt.Errorf("loadgen: pre-run /metrics: %w (is the TCP listener attached to this server?)", err)
 		}
 	}
@@ -180,11 +182,9 @@ func runTCP(ctx context.Context, opts Options) (*Report, error) {
 			cctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 		}
-		post, err := fetchExposition(cctx, client, opts.BaseURL)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: post-run /metrics scrape: %w", err)
-		}
-		report.CrossCheck = crossCheckTCP(post, pre, &report.Ledger, opts.ExpectAudit)
+		var post scrape
+		post.text, post.err = fetchExposition(cctx, client, opts.BaseURL)
+		report.CrossCheck = crossCheckTCP(pre, post, &report.Ledger, opts.ExpectAudit)
 	}
 	return report, nil
 }
@@ -314,24 +314,29 @@ func sendTCPBlock(client *collect.TCPClient, pool *Pool, start, size int64, ps *
 }
 
 // parseTCPCounters reads the TCP listener families (and optionally the
-// audit families) from an exposition text.
-func parseTCPCounters(text string, withAudit bool) (tcpPre, error) {
-	var p tcpPre
+// audit families) from a scrape. A failed scrape or a missing family is
+// an error, never a zero.
+func parseTCPCounters(sc scrape, withAudit bool) (tcpCounters, error) {
+	var p tcpCounters
+	if sc.err != nil {
+		return p, sc.err
+	}
+	ex := obs.ParseExpositionString(sc.text)
 	var err error
-	if p.scored, err = obs.ParseMetric(text, tcpScoredFamily); err != nil {
+	if p.scored, err = ex.Value(tcpScoredFamily); err != nil {
 		return p, err
 	}
-	if p.flagged, err = obs.ParseMetric(text, tcpFlaggedFamily); err != nil {
+	if p.flagged, err = ex.Value(tcpFlaggedFamily); err != nil {
 		return p, err
 	}
-	if p.badFrames, err = obs.ParseMetric(text, tcpBadFramesFamily); err != nil {
+	if p.badFrames, err = ex.Value(tcpBadFramesFamily); err != nil {
 		return p, err
 	}
 	if withAudit {
-		if p.audit[0], err = obs.ParseMetric(text, auditRecordsFamily); err != nil {
+		if p.audit[0], err = ex.Value(auditRecordsFamily); err != nil {
 			return p, err
 		}
-		if p.audit[1], err = obs.ParseMetric(text, auditDroppedFamily); err != nil {
+		if p.audit[1], err = ex.Value(auditDroppedFamily); err != nil {
 			return p, err
 		}
 	}
@@ -344,9 +349,14 @@ func parseTCPCounters(text string, withAudit bool) (tcpPre, error) {
 // server-rejected frame. With audit enabled, the ledger accounting
 // invariant (recorded + dropped == scored) holds exactly as in HTTP
 // mode because the listener shares the HTTP server's audit ledger.
-func crossCheckTCP(post string, pre tcpPre, ledger *Ledger, expectAudit bool) *CrossCheck {
+func crossCheckTCP(preScrape, postScrape scrape, ledger *Ledger, expectAudit bool) *CrossCheck {
 	cc := &CrossCheck{}
-	postC, err := parseTCPCounters(post, expectAudit)
+	pre, err := parseTCPCounters(preScrape, expectAudit)
+	if err != nil {
+		cc.Details = append(cc.Details, fmt.Sprintf("pre-run /metrics: %v", err))
+		return cc
+	}
+	postC, err := parseTCPCounters(postScrape, expectAudit)
 	if err != nil {
 		cc.Details = append(cc.Details, fmt.Sprintf("post-run /metrics: %v", err))
 		return cc
@@ -357,19 +367,18 @@ func crossCheckTCP(post string, pre tcpPre, ledger *Ledger, expectAudit bool) *C
 	cc.ServerFlaggedDelta = int64(postC.flagged - pre.flagged)
 	cc.ServerRejectedDelta = int64(postC.badFrames - pre.badFrames)
 	cc.ClientErrors = ledger.ByStatus["400"]
-	cc.MetricsReceived = postC.scored
 
 	if cc.ClientOK != cc.ServerReceivedDelta {
 		cc.Details = append(cc.Details, fmt.Sprintf(
-			"client saw %d ok replies but server tcp scored counter moved by %d", cc.ClientOK, cc.ServerReceivedDelta))
+			"client saw %d ok replies but server %s moved by %d", cc.ClientOK, tcpScoredFamily, cc.ServerReceivedDelta))
 	}
 	if cc.ClientFlagged != cc.ServerFlaggedDelta {
 		cc.Details = append(cc.Details, fmt.Sprintf(
-			"client decoded %d flagged replies but server tcp flagged counter moved by %d", cc.ClientFlagged, cc.ServerFlaggedDelta))
+			"client decoded %d flagged replies but server %s moved by %d", cc.ClientFlagged, tcpFlaggedFamily, cc.ServerFlaggedDelta))
 	}
 	if ledger.Timeouts == 0 && ledger.ConnErrors == 0 && cc.ClientErrors != cc.ServerRejectedDelta {
 		cc.Details = append(cc.Details, fmt.Sprintf(
-			"client saw %d error replies but server tcp bad-frame counter moved by %d", cc.ClientErrors, cc.ServerRejectedDelta))
+			"client saw %d error replies but server %s moved by %d", cc.ClientErrors, tcpBadFramesFamily, cc.ServerRejectedDelta))
 	}
 	if expectAudit {
 		cc.AuditRecordsDelta = int64(postC.audit[0] - pre.audit[0])

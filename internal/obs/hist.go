@@ -28,8 +28,8 @@ type Hist struct {
 
 // Record adds one latency observation. The latency sum is published
 // before the observation count so a concurrent reader never divides a
-// sum by more observations than contributed to it (the mean/avg-gauge
-// torn-read guard).
+// sum by more observations than contributed to it (Mean's torn-read
+// guard).
 func (h *Hist) Record(d time.Duration) {
 	if d < 0 {
 		d = 0

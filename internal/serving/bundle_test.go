@@ -64,7 +64,7 @@ func TestReplicaDebugBundleEndpoint(t *testing.T) {
 		t.Fatalf("target bundle-0 missing; manifest %+v", bb.Manifest)
 	}
 	for _, want := range []string{
-		bundle.ArtifactHealth, bundle.ArtifactMetrics, bundle.ArtifactStats,
+		bundle.ArtifactHealth, bundle.ArtifactMetrics,
 		bundle.ArtifactTraces, bundle.ArtifactDecisions, bundle.ArtifactModelInfo,
 		bundle.ArtifactExpvar, bundle.ArtifactPprofHeap,
 	} {
@@ -204,7 +204,7 @@ func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 		for _, a := range tm.Artifacts {
 			names[a.Name] = true
 		}
-		for _, want := range []string{bundle.ArtifactMetrics, bundle.ArtifactStats,
+		for _, want := range []string{bundle.ArtifactMetrics,
 			bundle.ArtifactTraces, bundle.ArtifactDecisions, bundle.ArtifactModelInfo} {
 			if !names[want] {
 				t.Errorf("live fr%d missing %s (errors %+v)", i, want, tm.Errors)
@@ -212,8 +212,8 @@ func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 		}
 	}
 
-	// Dead replica: the member overrides still snapshot metrics and
-	// stats in-process; everything HTTP becomes a recorded error.
+	// Dead replica: the member override still snapshots metrics
+	// in-process; everything HTTP becomes a recorded error.
 	dead := manifest.Target("fr2")
 	if dead == nil {
 		t.Fatal("dead replica missing from manifest")
@@ -222,7 +222,7 @@ func TestFleetWideBundleCaptureWithDeadReplica(t *testing.T) {
 	for _, a := range dead.Artifacts {
 		deadNames[a.Name] = true
 	}
-	if !deadNames[bundle.ArtifactMetrics] || !deadNames[bundle.ArtifactStats] {
+	if !deadNames[bundle.ArtifactMetrics] {
 		t.Fatalf("dead replica lost in-process artifacts: %+v", dead.Artifacts)
 	}
 	if len(dead.Errors) == 0 {

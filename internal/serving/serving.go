@@ -1,7 +1,7 @@
 // Package serving is the reusable replica runtime extracted from
 // cmd/polygraphd: everything a scoring replica needs — model
-// obtain/deploy, the collect server, drift telemetry, decision journal,
-// audit ledger, hot reload — behind one Replica type, so a process can
+// obtain/deploy, the collect server, drift telemetry, audit ledger,
+// hot reload — behind one Replica type, so a process can
 // run one replica (the daemon) or a test harness can run N in-process
 // (the fleet smoke drill).
 //
@@ -79,8 +79,6 @@ type Config struct {
 	// ReloadTimeout bounds a TriggerReload retrain (default 5m).
 	ReloadTimeout time.Duration
 
-	// JournalDir enables the durable flagged-decision journal.
-	JournalDir string
 	// AuditDir enables the checksummed decision audit ledger.
 	AuditDir string
 	// AuditSample records every Nth benign decision (default 1).
@@ -134,8 +132,7 @@ type Replica struct {
 	ln      net.Listener
 	done    chan error
 
-	journal *collect.Journal
-	ledger  *audit.Ledger
+	ledger *audit.Ledger
 
 	// srv and model are nil until the first deployment (warming state).
 	srv   atomic.Pointer[collect.Server]
@@ -183,15 +180,6 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 		reloadDone: make(chan error, 4),
 	}
 
-	if cfg.JournalDir != "" {
-		journal, err := collect.OpenJournal(cfg.JournalDir, "decisions", 0)
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("serving: journal: %w", err)
-		}
-		r.journal = journal
-		logger.Info("journaling flagged decisions", "dir", cfg.JournalDir)
-	}
 	if cfg.AuditDir != "" {
 		sample := cfg.AuditSample
 		if sample <= 0 {
@@ -203,7 +191,6 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 			SampleBenign: sample,
 		})
 		if err != nil {
-			r.closeStores()
 			cancel()
 			return nil, fmt.Errorf("serving: audit: %w", err)
 		}
@@ -242,7 +229,7 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 
 	if cfg.Model != nil {
 		if _, err := r.DeployModel(cfg.Model); err != nil {
-			r.closeStores()
+			r.closeLedger()
 			cancel()
 			return nil, err
 		}
@@ -250,12 +237,12 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 	} else if cfg.Train || cfg.ModelPath != "" {
 		model, report, baseline, err := ObtainModel(ctx, cfg.Train, cfg.ModelPath, cfg.Sessions, cfg.Novelty, logger)
 		if err != nil {
-			r.closeStores()
+			r.closeLedger()
 			cancel()
 			return nil, err
 		}
 		if _, err := r.DeployModel(model); err != nil {
-			r.closeStores()
+			r.closeLedger()
 			cancel()
 			return nil, err
 		}
@@ -274,10 +261,7 @@ func New(ctx context.Context, cfg Config) (*Replica, error) {
 	return r, nil
 }
 
-func (r *Replica) closeStores() {
-	if r.journal != nil {
-		r.journal.Close()
-	}
+func (r *Replica) closeLedger() {
 	if r.ledger != nil {
 		r.ledger.Close()
 	}
@@ -342,7 +326,6 @@ func (r *Replica) DeployModel(m *core.Model) (string, error) {
 		TraceSeed:       r.cfg.TraceSeed,
 		SlowRequest:     r.cfg.SlowRequest,
 		Drift:           r.driftMon,
-		Journal:         r.journal,
 		Audit:           r.ledger,
 	})
 	if err != nil {
@@ -562,18 +545,10 @@ func (r *Replica) ModelHash() string {
 	return ""
 }
 
-// Stats snapshots the replica's counters in-process — readable even
-// after Kill, which is what lets the fleet harness reconcile a drill
-// where one replica died mid-run.
-func (r *Replica) Stats() collect.Stats {
-	if srv := r.srv.Load(); srv != nil {
-		return srv.Snapshot()
-	}
-	return collect.Stats{}
-}
-
 // MetricsExposition renders the replica's /metrics page in-process
-// (same handler, no network), surviving a killed listener.
+// (same handler, no network), surviving a killed listener — which is
+// what lets the fleet harness reconcile a drill where one replica died
+// mid-run.
 func (r *Replica) MetricsExposition() string {
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
@@ -582,16 +557,13 @@ func (r *Replica) MetricsExposition() string {
 }
 
 // Member adapts the replica for fleet membership. Liveness probes go
-// over HTTP (a killed replica must probe dead), while stats and metrics
-// resolve in-process (a killed replica's counters must stay readable
-// for client-vs-sum-of-replicas reconciliation).
+// over HTTP (a killed replica must probe dead), while metrics resolve
+// in-process (a killed replica's counters must stay readable for
+// client-vs-sum-of-replicas reconciliation).
 func (r *Replica) Member() fleet.Member {
 	return fleet.Member{
 		Name:    r.cfg.Name,
 		BaseURL: r.BaseURL(),
-		Stats: func(context.Context) (collect.Stats, error) {
-			return r.Stats(), nil
-		},
 		Metrics: func(context.Context) (string, error) {
 			return r.MetricsExposition(), nil
 		},
@@ -673,7 +645,7 @@ func (r *Replica) Kill() {
 // connection after the server scored the request but before the client
 // read the response, so the client's retry would score the same request
 // twice on another replica. Counters stay readable in-process, and Close
-// must still be called to flush the journal and ledger.
+// must still be called to seal the ledger.
 func (r *Replica) Drain() {
 	if !r.killed.CompareAndSwap(false, true) {
 		return
@@ -690,7 +662,7 @@ func (r *Replica) Drain() {
 func (r *Replica) Killed() bool { return r.killed.Load() }
 
 // Close shuts the replica down gracefully: drain the listener, stop the
-// drift loop, close the journal and seal the audit ledger.
+// drift loop and seal the audit ledger.
 func (r *Replica) Close() error {
 	var firstErr error
 	if r.httpSrv != nil && !r.killed.Load() {
@@ -701,11 +673,6 @@ func (r *Replica) Close() error {
 		cancel()
 	}
 	r.cancel()
-	if r.journal != nil {
-		if err := r.journal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	if r.ledger != nil {
 		if err := r.ledger.Close(); err != nil && firstErr == nil {
 			firstErr = err

@@ -197,14 +197,11 @@ func TestReplicaKillStopsListenerKeepsCounters(t *testing.T) {
 		t.Fatal("killed replica still answers HTTP")
 	}
 	// In-process surfaces survive the kill.
-	if got := r.Stats(); got.Received < 0 {
-		t.Fatalf("stats unreadable after kill: %+v", got)
-	}
-	if exp := r.MetricsExposition(); !strings.Contains(exp, "polygraph_build_info") {
+	if exp := r.MetricsExposition(); !strings.Contains(exp, "polygraph_collections_total 0") {
 		t.Fatal("metrics exposition unreadable after kill")
 	}
 	member := r.Member()
-	if _, err := member.Stats(context.Background()); err != nil {
+	if _, err := member.FetchMetrics(context.Background(), http.DefaultClient); err != nil {
 		t.Fatal(err)
 	}
 	select {

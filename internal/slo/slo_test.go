@@ -203,7 +203,7 @@ func TestBadReasonsOverride(t *testing.T) {
 func TestDefaultSpecEndpointsExist(t *testing.T) {
 	// Guard against typos: every latency objective in the default spec
 	// names an endpoint label the serving stack actually exports.
-	known := map[string]bool{"/v1/collect": true, "/v1/collect-json": true, "batch": true, EndpointTCP: true}
+	known := map[string]bool{"/v1/collect": true, "/v1/collect-json": true, EndpointTCP: true}
 	for _, o := range DefaultSpec().Objectives {
 		if o.Kind == KindLatency && !known[o.Endpoint] {
 			t.Errorf("default spec latency objective %q targets unknown endpoint %q", o.Name, o.Endpoint)

@@ -4,7 +4,8 @@
 # Runs the gofmt gate, the tier-1 build+test pass (what CI and the
 # roadmap call "tier-1 green"), vet, and the race-detector pass that
 # guards the internal/parallel worker-pool layer and the collect
-# hot-swap/stats paths. Usage:
+# hot-swap/counter paths. It also prints the non-test Go LOC the
+# roadmap tracks (informational, never a gate). Usage:
 #
 #   scripts/check.sh          # everything
 #   scripts/check.sh -short   # pass flags through to both test runs
@@ -22,6 +23,12 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+
+# Every *.go except *_test.go, outside the separate perfbench/ module
+# and hidden directories (build caches).
+loc=$(find . \( -path ./perfbench -o -path './.*' \) -prune -o \
+    -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l | tr -d ' ')
+echo "== non-test Go LOC (excluding perfbench/): $loc"
 
 echo "== go build ./..."
 go build ./...
