@@ -8,6 +8,7 @@ package polygraph
 // never of scheduling (see DESIGN.md, "Parallel execution model").
 
 import (
+	"runtime"
 	"testing"
 
 	"polygraph/internal/core"
@@ -33,6 +34,31 @@ func trainAt(t *testing.T, workers int) (*dataset.Dataset, *core.Model, *core.Tr
 		t.Fatal(err)
 	}
 	return traffic, model, report
+}
+
+// TestTrainGoldenModel pins the trained model itself, not just its
+// invariance under the pool size: a training optimization that moves a
+// single bit of the model changes the digest and fails here. The values
+// are amd64 results; other architectures may fuse multiply-adds and
+// round differently.
+func TestTrainGoldenModel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model; skipped in -short")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digest is pinned on amd64, running on %s", runtime.GOARCH)
+	}
+	_, model, report := trainAt(t, 0)
+	hash, err := model.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "a9b122e603773ead41facdc21d26e62e"; hash != want {
+		t.Errorf("model hash %s, want %s", hash, want)
+	}
+	if report.OutliersFiltered != 8 {
+		t.Errorf("OutliersFiltered %d, want 8", report.OutliersFiltered)
+	}
 }
 
 func TestTrainWorkerCountInvariance(t *testing.T) {

@@ -297,14 +297,17 @@ func TrainContext(ctx context.Context, samples []Sample, cfg TrainConfig) (*Mode
 	// do.
 	if cfg.NoveltyGuard {
 		err := run.Run(StageNovelty, len(kept), func(ctx context.Context) (int, error) {
-			nKept, _ := clusterInput.Dims()
-			maxDist, err := parallel.MapReduceContext(ctx, cfg.Workers, nKept, 0,
+			// The max is order-free, so the distinct rows alone give
+			// the same value.
+			uniq, _ := matrix.Distinct(clusterInput)
+			nUniq, _ := uniq.Dims()
+			maxDist, err := parallel.MapReduceContext(ctx, cfg.Workers, nUniq, 0,
 				func() float64 { return 0 },
 				func(acc float64, start, end int) float64 {
 					for i := start; i < end; i++ {
 						// One-pass nearest + distance; bit-identical to
 						// Distance(row, Predict(row)) at half the work.
-						if _, d := km.AssignDistance(clusterInput.RawRow(i)); d > acc {
+						if _, d := km.AssignDistance(uniq.RawRow(i)); d > acc {
 							acc = d
 						}
 					}

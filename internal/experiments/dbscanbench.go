@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"polygraph/internal/dbscan"
+	"polygraph/internal/matrix"
 	"polygraph/internal/ua"
 )
 
@@ -35,44 +36,19 @@ func (e *Env) DBSCANAblation() (*DBSCANResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, dims := projected.Dims()
+	rows, _ := projected.Dims()
 
 	// Collapse exact duplicates (the dominant mass of fingerprint
-	// traffic) into weighted unique points.
-	type agg struct {
-		idx    int
-		weight float64
-	}
-	uniq := map[string]*agg{}
-	keyOf := func(row []float64) string {
-		b := make([]byte, 0, dims*8)
-		for _, v := range row {
-			b = append(b, fmt.Sprintf("%.6f,", v)...)
-		}
-		return string(b)
-	}
-	var uniqueRows [][]float64
-	rowToUnique := make([]int, rows)
-	for i := 0; i < rows; i++ {
-		row := projected.Row(i)
-		k := keyOf(row)
-		a, ok := uniq[k]
-		if !ok {
-			a = &agg{idx: len(uniqueRows)}
-			uniq[k] = a
-			uniqueRows = append(uniqueRows, row)
-		}
-		a.weight++
-		rowToUnique[i] = a.idx
-	}
-	uniqueM := matrixFromRows(uniqueRows)
-	weights := make([]float64, len(uniqueRows))
-	for _, a := range uniq {
-		weights[a.idx] = a.weight
+	// traffic) into unique points weighted by their copy counts.
+	uniqueM, rowToUnique := matrix.Distinct(projected)
+	nUnique, _ := uniqueM.Dims()
+	weights := make([]float64, nUnique)
+	for _, u := range rowToUnique {
+		weights[u]++
 	}
 
 	const minPts = 8
-	kd, err := dbscan.KDistance(uniqueM, min(minPts, len(uniqueRows)-1))
+	kd, err := dbscan.KDistance(uniqueM, min(minPts, nUnique-1))
 	if err != nil {
 		return nil, err
 	}

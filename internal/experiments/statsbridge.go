@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"polygraph/internal/matrix"
-	"polygraph/internal/stats"
-)
+import "polygraph/internal/stats"
 
 // Thin instantiations of the generic stats helpers, so the experiment
 // files read at the domain level.
@@ -19,6 +16,3 @@ func uniqueRate(keys []string) float64 { return stats.UniqueRate(keys) }
 func largeSetRate(keys []string, threshold int) float64 {
 	return stats.LargeSetRate(keys, threshold)
 }
-
-// matrixFromRows bridges row slices into the dense matrix type.
-func matrixFromRows(rows [][]float64) *matrix.Dense { return matrix.FromRows(rows) }

@@ -109,20 +109,25 @@ func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Forest, erro
 	// forest is bit-identical for every worker count.
 	base := rng.New(cfg.Seed)
 	gens := make([]*rng.PCG, trees)
-	samples := make([][]int, trees)
-	idx := make([]int, n)
+	samples := make([][]int32, trees)
+	idx := make([]int32, n)
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
 	for t := 0; t < trees; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		gen := base.Split(fmt.Sprintf("tree-%d", t))
-		// Sample ψ rows without replacement.
-		gen.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		// Sample ψ rows without replacement: a full Fisher–Yates pass
+		// drawing exactly what gen.Shuffle(n, swap) draws, inlined to
+		// skip the per-swap closure call.
+		for i := n - 1; i > 0; i-- {
+			j := gen.Intn(i + 1)
+			idx[i], idx[j] = idx[j], idx[i]
+		}
 		gens[t] = gen
-		samples[t] = append([]int(nil), idx[:psi]...)
+		samples[t] = append([]int32(nil), idx[:psi]...)
 	}
 	if err := parallel.ForContext(ctx, cfg.Workers, trees, 1, func(start, end int) {
 		for t := start; t < end; t++ {
@@ -187,7 +192,7 @@ func (f *Forest) flatten(n *node, at int) int {
 	return at
 }
 
-func buildTree(m *matrix.Dense, sample []int, depth, maxDepth int, gen *rng.PCG) *node {
+func buildTree(m *matrix.Dense, sample []int32, depth, maxDepth int, gen *rng.PCG) *node {
 	if depth >= maxDepth || len(sample) <= 1 {
 		return &node{leaf: true, size: len(sample)}
 	}
@@ -198,7 +203,7 @@ func buildTree(m *matrix.Dense, sample []int, depth, maxDepth int, gen *rng.PCG)
 		feat := gen.Intn(d)
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, i := range sample {
-			v := m.At(i, feat)
+			v := m.At(int(i), feat)
 			if v < lo {
 				lo = v
 			}
@@ -210,9 +215,9 @@ func buildTree(m *matrix.Dense, sample []int, depth, maxDepth int, gen *rng.PCG)
 			continue
 		}
 		thr := lo + gen.Float64()*(hi-lo)
-		var left, right []int
+		var left, right []int32
 		for _, i := range sample {
-			if m.At(i, feat) < thr {
+			if m.At(int(i), feat) < thr {
 				left = append(left, i)
 			} else {
 				right = append(right, i)
@@ -331,12 +336,21 @@ func (f *Forest) ScoreAllContext(ctx context.Context, data *matrix.Dense, worker
 	if d != f.dim {
 		return nil, fmt.Errorf("iforest: score on %d-dim rows, fitted on %d", d, f.dim)
 	}
-	out := make([]float64, r)
-	plan := parallel.PlanFor(workers, r, f.scoreCostNs())
-	if err := parallel.ForContext(ctx, plan.Workers, r, plan.Chunk, func(start, end int) {
-		f.scoreRows(data, out, start, end)
+	// A score is a pure function of the row, so each distinct row is
+	// scored once and scattered to its copies, bit-identical to scoring
+	// every row.
+	uniq, of := matrix.Distinct(data)
+	u, _ := uniq.Dims()
+	scores := make([]float64, u)
+	plan := parallel.PlanFor(workers, u, f.scoreCostNs())
+	if err := parallel.ForContext(ctx, plan.Workers, u, plan.Chunk, func(start, end int) {
+		f.scoreRows(uniq, scores, start, end)
 	}); err != nil {
 		return nil, err
+	}
+	out := make([]float64, r)
+	for i, k := range of {
+		out[i] = scores[k]
 	}
 	return out, nil
 }
@@ -378,8 +392,8 @@ func (f *Forest) FilterContamination(data *matrix.Dense, contamination float64) 
 }
 
 // FilterContaminationContext is FilterContamination with cooperative
-// cancellation during the scoring pass (the sort/selection tail is
-// cheap and runs to completion once scoring finishes).
+// cancellation during the scoring pass (the cut selection tail is cheap
+// and runs to completion once scoring finishes).
 func (f *Forest) FilterContaminationContext(ctx context.Context, data *matrix.Dense, contamination float64) (keep, drop []int, err error) {
 	if contamination < 0 || contamination >= 1 {
 		return nil, nil, fmt.Errorf("iforest: contamination %v out of [0,1)", contamination)
@@ -400,32 +414,38 @@ func (f *Forest) FilterContaminationContext(ctx context.Context, data *matrix.De
 	if nDrop == 0 {
 		nDrop = 1
 	}
-	// Find the cut score via a sorted copy; ties broken by index order
-	// to keep the result deterministic.
-	type scored struct {
-		idx int
-		s   float64
-	}
-	all := make([]scored, n)
-	for i, s := range scores {
-		all[i] = scored{idx: i, s: s}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].s != all[j].s {
-			return all[i].s > all[j].s
+	keep, drop = cutTop(scores, nDrop)
+	return keep, drop, nil
+}
+
+// cutTop splits row indices into the nDrop with the highest scores and
+// the rest, both in row order. The cut is the nDrop-th largest score:
+// every row above it drops, and rows tied at it drop in index order
+// until nDrop rows are gone — the sets a full sort by (score desc,
+// index asc) selects, without sorting n rows with their indices.
+func cutTop(scores []float64, nDrop int) (keep, drop []int) {
+	n := len(scores)
+	sorted := append([]float64(nil), scores...)
+	sort.Float64s(sorted)
+	cut := sorted[n-nDrop]
+	ties := nDrop
+	for _, s := range sorted[n-nDrop:] {
+		if s > cut {
+			ties--
 		}
-		return all[i].idx < all[j].idx
-	})
-	dropSet := make(map[int]bool, nDrop)
-	for i := 0; i < nDrop; i++ {
-		dropSet[all[i].idx] = true
 	}
-	for i := 0; i < n; i++ {
-		if dropSet[i] {
+	drop = make([]int, 0, nDrop)
+	keep = make([]int, 0, n-nDrop)
+	for i, s := range scores {
+		switch {
+		case s > cut:
 			drop = append(drop, i)
-		} else {
+		case ties > 0 && !(s < cut): // tied, or the NaN of a one-row forest
+			ties--
+			drop = append(drop, i)
+		default:
 			keep = append(keep, i)
 		}
 	}
-	return keep, drop, nil
+	return keep, drop
 }

@@ -3,6 +3,8 @@ package iforest
 import (
 	"encoding/json"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"polygraph/internal/matrix"
@@ -160,6 +162,83 @@ func TestFilterContaminationTinyThresholdDropsAtLeastOne(t *testing.T) {
 	}
 	if len(drop) != 1 {
 		t.Fatalf("dropped %d, want exactly 1", len(drop))
+	}
+}
+
+// sortCut is the reference selection cutTop must reproduce: sort every
+// row by (score desc, index asc), drop the first nDrop, return both sets
+// in row order.
+func sortCut(scores []float64, nDrop int) (keep, drop []int) {
+	idx := make([]int, len(scores))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if scores[idx[a]] != scores[idx[b]] {
+			return scores[idx[a]] > scores[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	dropSet := map[int]bool{}
+	for _, i := range idx[:nDrop] {
+		dropSet[i] = true
+	}
+	keep, drop = []int{}, []int{}
+	for i := range scores {
+		if dropSet[i] {
+			drop = append(drop, i)
+		} else {
+			keep = append(keep, i)
+		}
+	}
+	return keep, drop
+}
+
+func TestCutTopMatchesSort(t *testing.T) {
+	p := rng.New(11)
+	random := make([]float64, 300)
+	for i := range random {
+		// Few distinct values, so ties at the cut are the rule.
+		random[i] = float64(p.Intn(7)) / 8
+	}
+	cases := []struct {
+		name   string
+		scores []float64
+		nDrop  int
+	}{
+		{"distinct", []float64{0.5, 0.9, 0.1, 0.7, 0.3}, 2},
+		{"tie at cut, first copies drop", []float64{0.6, 0.8, 0.6, 0.2, 0.6}, 2},
+		{"tie at cut, all copies drop", []float64{0.6, 0.8, 0.6, 0.2}, 3},
+		{"tie spans the cut from above", []float64{0.9, 0.4, 0.9, 0.9, 0.1}, 2},
+		{"all equal", []float64{0.5, 0.5, 0.5, 0.5}, 3},
+		{"drop everything", []float64{0.3, 0.1, 0.2}, 3},
+		{"single row", []float64{0.7}, 1},
+		{"random with ties", random, 40},
+		{"random, one row", random, 1},
+	}
+	for _, tc := range cases {
+		keep, drop := cutTop(tc.scores, tc.nDrop)
+		wantKeep, wantDrop := sortCut(tc.scores, tc.nDrop)
+		if !reflect.DeepEqual(keep, wantKeep) || !reflect.DeepEqual(drop, wantDrop) {
+			t.Errorf("%s: keep %v drop %v, want keep %v drop %v", tc.name, keep, drop, wantKeep, wantDrop)
+		}
+	}
+}
+
+func TestFilterContaminationOneRow(t *testing.T) {
+	// A one-row forest scores its row NaN (c(1) = 0 normalizes it);
+	// a positive contamination must still drop that row.
+	m := matrix.FromRows([][]float64{{1, 2}})
+	f, err := Fit(m, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, drop, err := f.FilterContamination(m, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keep) != 0 || !reflect.DeepEqual(drop, []int{0}) {
+		t.Fatalf("keep %v drop %v, want keep [] drop [0]", keep, drop)
 	}
 }
 

@@ -64,6 +64,14 @@ func Fit(m *matrix.Dense, cfg Config) (*Model, error) {
 // chunk of work. A fit that runs to completion is bit-identical to
 // Fit's — cancellation checks never change chunk geometry or reduction
 // order.
+//
+// Distances are pure functions of a row, so every per-row distance —
+// k-means++ D² refreshes, Lloyd assignments, the empty-cluster reseed
+// and the final inertia — is computed once per distinct row
+// (matrix.Distinct, shared by all restarts) and read back through the
+// row's index. The order-sensitive sums — centroid updates, the D²
+// sampling scan, the inertia — still visit every row in row order, so
+// the model is bit-identical to a per-row fit.
 func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Model, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -91,10 +99,11 @@ func FitContext(ctx context.Context, m *matrix.Dense, cfg Config) (*Model, error
 		restarts = 1
 	}
 
+	uniq, of := matrix.Distinct(m)
 	var best *Model
 	for attempt := 0; attempt < restarts; attempt++ {
 		gen := rng.New(cfg.Seed).Split(fmt.Sprintf("restart-%d", attempt))
-		model, err := fitOnce(ctx, m, cfg.K, maxIter, tol, cfg.PlusPlus, cfg.Workers, gen)
+		model, err := fitOnce(ctx, m, uniq, of, cfg.K, maxIter, tol, cfg.PlusPlus, cfg.Workers, gen)
 		if err != nil {
 			return nil, err
 		}
@@ -114,25 +123,27 @@ type partial struct {
 	sums   *matrix.Dense
 }
 
-func fitOnce(ctx context.Context, m *matrix.Dense, k, maxIter int, tol float64, plusPlus bool, workers int, gen *rng.PCG) (*Model, error) {
+// fitOnce runs one seeded fit of m; uniq and of are matrix.Distinct(m).
+func fitOnce(ctx context.Context, m, uniq *matrix.Dense, of []int32, k, maxIter int, tol float64, plusPlus bool, workers int, gen *rng.PCG) (*Model, error) {
 	r, d := m.Dims()
+	u, _ := uniq.Dims()
 	cents := matrix.NewDense(k, d)
 	if plusPlus {
-		if err := seedPlusPlus(ctx, m, cents, workers, gen); err != nil {
+		if err := seedPlusPlus(ctx, m, uniq, of, cents, workers, gen); err != nil {
 			return nil, err
 		}
 	} else {
 		seedUniform(m, cents, gen)
 	}
 
-	assign := make([]int, r)
+	assign := make([]int, u) // by distinct row
 	iter := 0
 	for ; iter < maxIter; iter++ {
-		// Assignment step: each row is independent, so the fan-out is a
-		// pure map.
-		if err := parallel.ForContext(ctx, workers, r, 0, func(start, end int) {
+		// Assignment step: each distinct row is independent, so the
+		// fan-out is a pure map.
+		if err := parallel.ForContext(ctx, workers, u, 0, func(start, end int) {
 			for i := start; i < end; i++ {
-				assign[i] = nearestCentroid(m.RawRow(i), cents)
+				assign[i] = nearestCentroid(uniq.RawRow(i), cents)
 			}
 		}); err != nil {
 			return nil, err
@@ -143,7 +154,7 @@ func fitOnce(ctx context.Context, m *matrix.Dense, k, maxIter int, tol float64, 
 			func() *partial { return &partial{counts: make([]int, k), sums: matrix.NewDense(k, d)} },
 			func(p *partial, start, end int) *partial {
 				for i := start; i < end; i++ {
-					c := assign[i]
+					c := assign[of[i]]
 					p.counts[c]++
 					srow := p.sums.RawRow(c)
 					for j, v := range m.RawRow(i) {
@@ -174,8 +185,8 @@ func fitOnce(ctx context.Context, m *matrix.Dense, k, maxIter int, tol float64, 
 				// Empty cluster: reseed at the point farthest
 				// from its centroid, the standard fix that
 				// keeps K stable.
-				far := farthestPoint(m, cents)
-				copy(crow, m.RawRow(far))
+				far := farthestPoint(uniq, cents)
+				copy(crow, uniq.RawRow(far))
 				moved += math.Inf(1)
 				continue
 			}
@@ -195,7 +206,7 @@ func fitOnce(ctx context.Context, m *matrix.Dense, k, maxIter int, tol float64, 
 	}
 
 	model := &Model{Centroids: cents, K: k, Dim: d, Iterations: iter}
-	wcss, err := model.inertiaContext(ctx, m, workers)
+	wcss, err := model.inertiaContext(ctx, uniq, of, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -216,24 +227,26 @@ func seedUniform(m *matrix.Dense, cents *matrix.Dense, gen *rng.PCG) {
 // seedPlusPlus implements k-means++ (Arthur & Vassilvitskii 2007):
 // subsequent centroids are sampled proportional to squared distance from
 // the nearest already-chosen centroid. The distance refresh after each
-// pick is a pure per-row map and fans out over the pool; the cumulative
-// sampling scan stays serial because it is inherently ordered.
-func seedPlusPlus(ctx context.Context, m *matrix.Dense, cents *matrix.Dense, workers int, gen *rng.PCG) error {
+// pick is a pure map over the distinct rows and fans out over the pool;
+// the cumulative sampling scan stays serial, over every row in order,
+// because it is inherently ordered.
+func seedPlusPlus(ctx context.Context, m, uniq *matrix.Dense, of []int32, cents *matrix.Dense, workers int, gen *rng.PCG) error {
 	r, _ := m.Dims()
+	u, _ := uniq.Dims()
 	k, _ := cents.Dims()
 	copy(cents.RawRow(0), m.RawRow(gen.Intn(r)))
-	d2 := make([]float64, r)
-	if err := parallel.ForContext(ctx, workers, r, 0, func(start, end int) {
+	d2 := make([]float64, u) // by distinct row
+	if err := parallel.ForContext(ctx, workers, u, 0, func(start, end int) {
 		for i := start; i < end; i++ {
-			d2[i] = sqDist(m.RawRow(i), cents.RawRow(0))
+			d2[i] = sqDist(uniq.RawRow(i), cents.RawRow(0))
 		}
 	}); err != nil {
 		return err
 	}
 	for c := 1; c < k; c++ {
 		total := 0.0
-		for _, v := range d2 {
-			total += v
+		for _, x := range of {
+			total += d2[x]
 		}
 		var idx int
 		if total <= 0 {
@@ -244,8 +257,8 @@ func seedPlusPlus(ctx context.Context, m *matrix.Dense, cents *matrix.Dense, wor
 			target := gen.Float64() * total
 			acc := 0.0
 			idx = r - 1
-			for i, v := range d2 {
-				acc += v
+			for i, x := range of {
+				acc += d2[x]
 				if acc >= target {
 					idx = i
 					break
@@ -254,9 +267,9 @@ func seedPlusPlus(ctx context.Context, m *matrix.Dense, cents *matrix.Dense, wor
 		}
 		copy(cents.RawRow(c), m.RawRow(idx))
 		crow := cents.RawRow(c)
-		if err := parallel.ForContext(ctx, workers, r, 0, func(start, end int) {
+		if err := parallel.ForContext(ctx, workers, u, 0, func(start, end int) {
 			for i := start; i < end; i++ {
-				if nd := sqDist(m.RawRow(i), crow); nd < d2[i] {
+				if nd := sqDist(uniq.RawRow(i), crow); nd < d2[i] {
 					d2[i] = nd
 				}
 			}
@@ -267,6 +280,10 @@ func seedPlusPlus(ctx context.Context, m *matrix.Dense, cents *matrix.Dense, wor
 	return nil
 }
 
+// farthestPoint returns the first row farthest from its nearest
+// centroid. Duplicates never beat their first copy under the strict >,
+// so over the distinct rows of a matrix it picks the same values as over
+// all of them.
 func farthestPoint(m *matrix.Dense, cents *matrix.Dense) int {
 	r, _ := m.Dims()
 	worstIdx, worstD := 0, -1.0
@@ -358,14 +375,21 @@ func (m *Model) PredictAllContext(ctx context.Context, data *matrix.Dense, worke
 	if d != m.Dim {
 		return nil, fmt.Errorf("kmeans: predict on %d-dim rows, model is %d-dim", d, m.Dim)
 	}
-	out := make([]int, r)
-	plan := parallel.PlanFor(workers, r, m.predictCostNs())
-	if err := parallel.ForContext(ctx, plan.Workers, r, plan.Chunk, func(start, end int) {
+	// Each distinct row is assigned once and scattered to its copies.
+	uniq, of := matrix.Distinct(data)
+	u, _ := uniq.Dims()
+	assign := make([]int, u)
+	plan := parallel.PlanFor(workers, u, m.predictCostNs())
+	if err := parallel.ForContext(ctx, plan.Workers, u, plan.Chunk, func(start, end int) {
 		for i := start; i < end; i++ {
-			out[i] = nearestCentroid(data.RawRow(i), m.Centroids)
+			assign[i] = nearestCentroid(uniq.RawRow(i), m.Centroids)
 		}
 	}); err != nil {
 		return nil, err
+	}
+	out := make([]int, r)
+	for i, k := range of {
+		out[i] = assign[k]
 	}
 	return out, nil
 }
@@ -380,22 +404,31 @@ func (m *Model) Distance(x []float64, c int) float64 {
 
 // Inertia computes the WCSS of data under the model's centroids.
 func (m *Model) Inertia(data *matrix.Dense) float64 {
-	wcss, _ := m.inertiaContext(context.Background(), data, 0)
+	uniq, of := matrix.Distinct(data)
+	wcss, _ := m.inertiaContext(context.Background(), uniq, of, 0)
 	return wcss
 }
 
-// inertiaContext reduces per-chunk WCSS partials in fixed chunk order, so
-// the value is bit-identical for every worker count; ctx cancels at chunk
-// boundaries.
-func (m *Model) inertiaContext(ctx context.Context, data *matrix.Dense, workers int) (float64, error) {
-	r, _ := data.Dims()
-	return parallel.MapReduceContext(ctx, workers, r, 0,
+// inertiaContext measures each distinct row's squared distance once,
+// then reduces per-chunk WCSS partials over every row in fixed chunk
+// order, so the value is bit-identical for every worker count; ctx
+// cancels at chunk boundaries.
+func (m *Model) inertiaContext(ctx context.Context, uniq *matrix.Dense, of []int32, workers int) (float64, error) {
+	u, _ := uniq.Dims()
+	dist := make([]float64, u)
+	if err := parallel.ForContext(ctx, workers, u, 0, func(start, end int) {
+		for i := start; i < end; i++ {
+			row := uniq.RawRow(i)
+			dist[i] = sqDist(row, m.Centroids.RawRow(nearestCentroid(row, m.Centroids)))
+		}
+	}); err != nil {
+		return 0, err
+	}
+	return parallel.MapReduceContext(ctx, workers, len(of), 0,
 		func() float64 { return 0 },
 		func(total float64, start, end int) float64 {
-			for i := start; i < end; i++ {
-				row := data.RawRow(i)
-				c := nearestCentroid(row, m.Centroids)
-				total += sqDist(row, m.Centroids.RawRow(c))
+			for _, x := range of[start:end] {
+				total += dist[x]
 			}
 			return total
 		},

@@ -164,6 +164,76 @@ func (m *Dense) MulVec(v []float64) []float64 {
 	return out
 }
 
+// Distinct returns the distinct rows of m in first-seen order, and for
+// each row of m the index of its row in uniq, so m's row i equals uniq's
+// row of[i]. Rows are keyed on the exact bits of their values, not on
+// ==: -0 and +0 stay apart and a NaN row matches its bit-identical
+// copies, so a pure function of a row computes the same bits from either
+// matrix. Training data is fingerprint traffic, where most rows repeat,
+// so per-row kernels evaluate uniq and scatter through of. When every
+// row is distinct, uniq is m itself; callers only read it.
+func Distinct(m *Dense) (uniq *Dense, of []int32) {
+	if m.rows > math.MaxInt32 {
+		panic(fmt.Sprintf("matrix: Distinct on %d rows overflows int32 indices", m.rows))
+	}
+	of = make([]int32, m.rows)
+	// Open addressing with linear probing at load <= 1/2. A slot holds
+	// the top 32 hash bits over 1 + the index into firsts of the
+	// distinct row hashed there; 0 is empty. Comparing the stored bits
+	// first skips the row compare, a cache miss into m, on collisions.
+	// The hash only decides slots, never the output order.
+	bits := 1
+	for 1<<bits < 2*m.rows {
+		bits++
+	}
+	mask := uint64(1)<<bits - 1
+	slots := make([]uint64, mask+1)
+	var firsts []int32 // m's row index of each distinct row
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		// Multiplicative hashing: the product's top bits depend on every
+		// input bit, so they pick the slot and form the tag.
+		h := uint64(0)
+		for _, v := range row {
+			h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
+		}
+		tag := h &^ math.MaxUint32
+		for s := h >> (64 - bits); ; s = (s + 1) & mask {
+			e := slots[s]
+			if e == 0 {
+				of[i] = int32(len(firsts))
+				slots[s] = tag | uint64(len(firsts)+1)
+				firsts = append(firsts, int32(i))
+				break
+			}
+			u := int32(e&math.MaxUint32) - 1
+			if e&^math.MaxUint32 == tag && sameBits(row, m.data[int(firsts[u])*m.cols:]) {
+				of[i] = u
+				break
+			}
+		}
+	}
+	if len(firsts) == m.rows {
+		return m, of
+	}
+	uniq = NewDense(len(firsts), m.cols)
+	for u, i := range firsts {
+		copy(uniq.data[u*m.cols:(u+1)*m.cols], m.data[int(i)*m.cols:])
+	}
+	return uniq, of
+}
+
+// sameBits reports whether a and the first len(a) values of b are
+// bitwise equal.
+func sameBits(a, b []float64) bool {
+	for j, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
+}
+
 // ColMeans returns the per-column mean. An empty matrix yields all zeros.
 func (m *Dense) ColMeans() []float64 {
 	means := make([]float64, m.cols)

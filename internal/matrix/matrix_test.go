@@ -402,3 +402,93 @@ func BenchmarkSymEigen28(b *testing.B) {
 		}
 	}
 }
+
+func TestDistinct(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan := math.NaN()
+	m := FromRows([][]float64{
+		{1, 2},
+		{0, 5},
+		{1, 2},
+		{negZero, 5}, // differs from row 1 only in the sign of a zero
+		{nan, 3},
+		{0, 5},
+		{nan, 3}, // same bits as row 4, though NaN != NaN
+		{negZero, 5},
+	})
+	uniq, of := Distinct(m)
+	wantUniq := [][]float64{{1, 2}, {0, 5}, {negZero, 5}, {nan, 3}}
+	wantOf := []int32{0, 1, 0, 2, 3, 1, 3, 2}
+	u, c := uniq.Dims()
+	if u != len(wantUniq) || c != 2 {
+		t.Fatalf("uniq is %dx%d, want %dx2", u, c, len(wantUniq))
+	}
+	for k, want := range wantUniq {
+		for j, v := range want {
+			if got := uniq.At(k, j); math.Float64bits(got) != math.Float64bits(v) {
+				t.Errorf("uniq[%d][%d] = %v, want %v (bitwise)", k, j, got, v)
+			}
+		}
+	}
+	if len(of) != len(wantOf) {
+		t.Fatalf("len(of) = %d, want %d", len(of), len(wantOf))
+	}
+	for i, want := range wantOf {
+		if of[i] != want {
+			t.Errorf("of[%d] = %d, want %d", i, of[i], want)
+		}
+	}
+}
+
+func TestDistinctEdges(t *testing.T) {
+	uniq, of := Distinct(NewDense(0, 3))
+	if r, c := uniq.Dims(); r != 0 || c != 3 || len(of) != 0 {
+		t.Fatalf("empty input: uniq %dx%d, len(of) %d", r, c, len(of))
+	}
+	// Every row distinct: uniq is m itself and of the identity.
+	p := rng.New(5)
+	m := NewDense(1000, 4)
+	for i := 0; i < 1000; i++ {
+		for j := 0; j < 4; j++ {
+			m.Set(i, j, p.NormFloat64())
+		}
+	}
+	uniq, of = Distinct(m)
+	if uniq != m {
+		t.Fatal("all-distinct input: uniq is not the input matrix")
+	}
+	for i := range of {
+		if of[i] != int32(i) {
+			t.Fatalf("of[%d] = %d, want %d", i, of[i], i)
+		}
+	}
+}
+
+// BenchmarkDistinct205kx28 dedups a paper-size training matrix twice:
+// with fingerprint-like redundancy (205k rows drawn from 200 distinct
+// ones) and with every row distinct, the case that gains nothing.
+func BenchmarkDistinct205kx28(b *testing.B) {
+	p := rng.New(1)
+	protos := NewDense(200, 28)
+	all := NewDense(205000, 28)
+	for i := 0; i < 205000; i++ {
+		for j := 0; j < 28; j++ {
+			all.Set(i, j, p.NormFloat64())
+		}
+	}
+	copy(protos.data, all.data)
+	dup := NewDense(205000, 28)
+	for i := 0; i < 205000; i++ {
+		copy(dup.RawRow(i), protos.RawRow(p.Intn(200)))
+	}
+	for _, bc := range []struct {
+		name string
+		m    *Dense
+	}{{"200-distinct", dup}, {"all-distinct", all}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, _ = Distinct(bc.m)
+			}
+		})
+	}
+}

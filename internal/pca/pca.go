@@ -158,21 +158,28 @@ func (p *PCA) TransformContext(ctx context.Context, m *matrix.Dense, workers int
 	if d != len(p.Mean) {
 		return nil, fmt.Errorf("pca: transform on %d features, fitted on %d", d, len(p.Mean))
 	}
-	out := matrix.NewDense(r, p.K)
+	// Each distinct row is projected once and copied to its duplicates.
+	uniq, of := matrix.Distinct(m)
+	u, _ := uniq.Dims()
+	proj := matrix.NewDense(u, p.K)
 	// Adaptive dispatch: one projection is ~(K+1)·d flops, so small
 	// batches run serially rather than paying pool startup.
-	plan := parallel.PlanFor(workers, r, 40+2*float64((p.K+1)*d))
-	if err := parallel.ForContext(ctx, plan.Workers, r, plan.Chunk, func(start, end int) {
+	plan := parallel.PlanFor(workers, u, 40+2*float64((p.K+1)*d))
+	if err := parallel.ForContext(ctx, plan.Workers, u, plan.Chunk, func(start, end int) {
 		buf := make([]float64, d)
 		for i := start; i < end; i++ {
-			row := m.RawRow(i)
+			row := uniq.RawRow(i)
 			for j, v := range row {
 				buf[j] = v - p.Mean[j]
 			}
-			p.projectInto(buf, out.RawRow(i))
+			p.projectInto(buf, proj.RawRow(i))
 		}
 	}); err != nil {
 		return nil, err
+	}
+	out := matrix.NewDense(r, p.K)
+	for i, k := range of {
+		copy(out.RawRow(i), proj.RawRow(int(k)))
 	}
 	return out, nil
 }
